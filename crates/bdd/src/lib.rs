@@ -19,6 +19,10 @@
 //!   [`BddManager::and_exists`] conjoins and quantifies in a single pass
 //!   without materialising the intermediate conjunction — the image
 //!   operator symbolic reachability is built on,
+//! * [`BddManager::crossing`] classifies a transition branch's firings
+//!   against a state set (stays in / leaves / enters / stays out) in one
+//!   node-free traversal, and [`BddManager::restrict_literals`] cofactors
+//!   at a whole literal set in one pass,
 //! * restriction, satisfy-count, cube enumeration and memory/cache
 //!   statistics ([`BddManager::stats`]) round out the toolkit.
 //!
@@ -39,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+mod crossing;
 mod cubes;
 pub mod hash;
 mod isop;
@@ -46,6 +51,7 @@ mod manager;
 mod node;
 
 pub use budget::{Budget, BudgetExceeded, Resource};
+pub use crossing::Crossing;
 pub use cubes::{Cube, CubeIter};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use isop::IsopCover;

@@ -42,6 +42,7 @@
 //!    interning is still live, which is always, since nodes are never freed.
 
 use crate::budget::{Budget, BudgetExceeded, CHECK_INTERVAL};
+use crate::crossing::KernelScratch;
 use crate::hash::{fx_combine, FxHashMap, FxHashSet};
 use crate::node::{Node, NodeId, VarId, TERMINAL_VAR};
 use std::cell::RefCell;
@@ -351,6 +352,9 @@ pub struct BddManager {
     tripped: bool,
     /// The typed trip report, taken by [`Self::take_budget_trip`].
     trip: Option<BudgetExceeded>,
+    /// Reusable literal buffer and memo of the crossing/restriction
+    /// kernels (see the `crossing` module).
+    pub(crate) kernel_scratch: KernelScratch,
 }
 
 impl BddManager {
@@ -384,6 +388,7 @@ impl BddManager {
             nodes_at_last_check: 0,
             tripped: false,
             trip: None,
+            kernel_scratch: KernelScratch::default(),
         }
     }
 
@@ -590,15 +595,21 @@ impl BddManager {
         {
             self.cache.grow_for(self.nodes.len());
         }
-        // Budget accounting is batched: one increment per call, a flush
-        // (shared atomics + clock sample) every CHECK_INTERVAL calls.
+        self.charge_step();
+        id
+    }
+
+    /// Charges one step to the attached budget.  Accounting is batched:
+    /// one increment per call, a flush (shared atomics + clock sample)
+    /// every [`CHECK_INTERVAL`] calls.
+    #[inline]
+    pub(crate) fn charge_step(&mut self) {
         if self.budget.is_some() {
             self.steps_since_check += 1;
             if self.steps_since_check >= CHECK_INTERVAL {
                 self.flush_budget();
             }
         }
-        id
     }
 
     /// Logical negation.

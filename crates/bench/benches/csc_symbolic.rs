@@ -29,6 +29,10 @@ fn solver_families(c: &mut Criterion) {
         ("seq8", benchmarks::sequencer(8)),
         ("counter2", benchmarks::counter(2)),
         ("pulser_bank2", benchmarks::pulser_bank(2)),
+        // The Table-2 row whose candidate search dominates the suite: the
+        // symbolic solver resolves it with 7 signals where the explicit
+        // one needs 21.
+        ("counter4", benchmarks::counter(4)),
     ];
     let config = SolverConfig::default();
     for (name, model) in models {

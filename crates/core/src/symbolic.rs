@@ -44,7 +44,7 @@
 
 use crate::solver::{SolveStats, SolverConfig};
 use crate::CscError;
-use bdd::{Bdd, BddManager, Budget, FxHashMap, FxHashSet, VarId};
+use bdd::{Bdd, BddManager, Budget, Crossing, FxHashMap, FxHashSet, VarId};
 use petri::{PetriNetBuilder, TransId};
 use std::time::Instant;
 use stg::{
@@ -217,6 +217,7 @@ fn solve_symbolic_inner(
     // round, so each insertion pays for exactly one encoded-reachability
     // analysis of the grown net.
     let mut carried: Option<Iteration> = None;
+    let debug = std::env::var_os("CSC_SYM_DEBUG").is_some();
 
     loop {
         let t0 = Instant::now();
@@ -227,6 +228,7 @@ fn solve_symbolic_inner(
                 initial_code,
                 inserted.last().map(String::as_str),
                 reach,
+                debug,
             )?,
         };
         let conflicted = it.detect_conflicts();
@@ -284,7 +286,6 @@ fn solve_symbolic_inner(
             stats.stage.partition_ms += ms_since(t2);
             let core_pairs = it.signal_conflict_pairs(signal);
             let t3 = Instant::now();
-            let debug = std::env::var_os("CSC_SYM_DEBUG").is_some();
             // Build each plan's net once; take the first that strictly
             // reduces the total pair count, falling back to the first that
             // at least shrinks the targeted signal's pairs (the
@@ -307,8 +308,13 @@ fn solve_symbolic_inner(
                 // verification: label its budget trips accordingly.
                 let verify_reach =
                     ReachabilityConfig { stage: Some("candidate-search"), ..reach.clone() };
-                let built =
-                    Iteration::build(&candidate_stg, initial_code, Some(&name), &verify_reach);
+                let built = Iteration::build(
+                    &candidate_stg,
+                    initial_code,
+                    Some(&name),
+                    &verify_reach,
+                    debug,
+                );
                 if debug {
                     eprintln!("  verify build: {:.2?} (ok={})", tb.elapsed(), built.is_ok());
                 }
@@ -366,7 +372,7 @@ fn solve_symbolic_inner(
         let Some((core, next_stg, next_it)) = chosen else {
             return Err(CscError::NoCandidate { remaining_conflicts: conflicted.len() });
         };
-        if std::env::var_os("CSC_SYM_DEBUG").is_some() {
+        if debug {
             eprintln!(
                 "iter {}: {} conflicted signals, core {} code {:?}",
                 stats.iterations,
@@ -566,6 +572,14 @@ fn reachability_error(e: StgError) -> CscError {
     }
 }
 
+/// Whether a branch's firings violate crossing-uniformity against a block:
+/// some cross it while others stay on one side, or some enter while others
+/// leave.
+fn mixes(c: Crossing) -> bool {
+    let crosses = c.leaves() || c.enters();
+    (crosses && (c.stays_in() || c.stays_out())) || (c.leaves() && c.enters())
+}
+
 /// Sorted-merge of two support hints.
 fn merge_sup(a: &[VarId], b: &[VarId]) -> Vec<VarId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -620,6 +634,9 @@ struct Iteration {
     /// transition's index (plans share triggers, and the restricted
     /// reachability is the premark computation's dominant cost).
     without_cache: FxHashMap<usize, Bdd>,
+    /// Trace candidate rejections and plan costs on stderr (the
+    /// `CSC_SYM_DEBUG` environment variable, read once per solve).
+    debug: bool,
 }
 
 impl Iteration {
@@ -639,6 +656,7 @@ impl Iteration {
         initial_code: u64,
         last_inserted: Option<&str>,
         reach_config: &ReachabilityConfig,
+        debug: bool,
     ) -> Result<Self, CscError> {
         let mut space = stg
             .try_symbolic_encoded_state_space(initial_code, reach_config)
@@ -745,6 +763,7 @@ impl Iteration {
             conflict_codes: vec![None; num_signals],
             code_eq,
             without_cache: FxHashMap::default(),
+            debug,
             space,
         })
     }
@@ -926,14 +945,12 @@ impl Iteration {
         Zone { set: img, sup }
     }
 
-    /// `predicate` evaluated at the *target* of a branch, as a function of
-    /// the source state: the cofactor at the pinned literals.
-    fn at_target(m: &mut BddManager, b: &BranchOps, predicate: Bdd) -> Bdd {
-        let mut g = predicate;
-        for &(v, value) in &b.pinned {
-            g = m.cofactor(g, v, value);
-        }
-        g
+    /// How branch `bi`'s reachable firings cross from `src_set` (read at
+    /// the source) to `tgt_set` (read at the target): one node-free
+    /// traversal answering all four quadrant questions.
+    fn crossing(&mut self, bi: usize, src_set: Bdd, tgt_set: Bdd) -> Crossing {
+        let pinned = &self.branches[bi].pinned;
+        self.space.manager_mut().crossing(self.srcs[bi], src_set, tgt_set, pinned)
     }
 
     /// The minimal well-formed exit border of a zone: states of it with a
@@ -957,7 +974,8 @@ impl Iteration {
             if src.is_false() {
                 continue;
             }
-            let leaves = Self::at_target(m, &self.branches[i], complement);
+            // `complement` read at the target of the firing.
+            let leaves = m.restrict_literals(complement, &b.pinned);
             let exits = m.and(src, leaves);
             if !exits.is_false() {
                 border = m.or(border, exits);
@@ -1009,27 +1027,10 @@ impl Iteration {
     /// gradient of the frontier search (0 means the block needs no
     /// uniformity repair).
     fn count_mixed_transitions(&mut self, block: &Zone) -> usize {
-        let mut count = 0;
-        for bi in self.branches_touching(&block.sup) {
-            let m = self.space.manager_mut();
-            let srcs = self.srcs[bi];
-            if srcs.is_false() {
-                continue;
-            }
-            let tgt_in = Self::at_target(m, &self.branches[bi], block.set);
-            let not_in = m.not(tgt_in);
-            let src_in = m.and(srcs, block.set);
-            let src_out = m.and_not(srcs, block.set);
-            let stays_in = !m.and(src_in, tgt_in).is_false();
-            let leaves = !m.and(src_in, not_in).is_false();
-            let enters = !m.and(src_out, tgt_in).is_false();
-            let stays_out = !m.and(src_out, not_in).is_false();
-            let crossing = leaves || enters;
-            if (crossing && (stays_in || stays_out)) || (leaves && enters) {
-                count += 1;
-            }
-        }
-        count
+        self.branches_touching(&block.sup)
+            .into_iter()
+            .filter(|&bi| mixes(self.crossing(bi, block.set, block.set)))
+            .count()
     }
 
     /// The candidate bricks: per-place marked predicates, per-branch
@@ -1251,7 +1252,7 @@ impl Iteration {
     ) -> Vec<InsertionPlan> {
         const MAX_PLANS: usize = 6;
         let cap = (4 * config.frontier_width).max(24);
-        if std::env::var_os("CSC_SYM_DEBUG").is_some() {
+        if self.debug {
             let zeros = candidates.iter().filter(|(_, c)| c.remaining == 0).count();
             eprintln!(
                 "  select: {} candidates, {} with remaining=0, top: {:?}",
@@ -1276,7 +1277,7 @@ impl Iteration {
         }
         plans.sort_by(|a, b| a.0.cmp(&b.0));
         plans.truncate(MAX_PLANS);
-        if std::env::var_os("CSC_SYM_DEBUG").is_some() {
+        if self.debug {
             for (cost, _) in &plans {
                 eprintln!("  plan: {cost:?}");
             }
@@ -1320,29 +1321,15 @@ impl Iteration {
             };
             let mut grow_sup = block.sup.clone();
             for bi in self.branches_touching(&block.sup) {
-                let (srcs, src_in, src_out, tgt_in_pred) = {
-                    let m = self.space.manager_mut();
-                    let srcs = self.srcs[bi];
-                    if srcs.is_false() {
-                        continue;
-                    }
-                    let tgt_in_pred = Self::at_target(m, &self.branches[bi], block.set);
-                    (srcs, m.and(srcs, block.set), m.and_not(srcs, block.set), tgt_in_pred)
-                };
-                let m = self.space.manager_mut();
-                let not_block = m.not(tgt_in_pred);
-                let stays_in = !m.and(src_in, tgt_in_pred).is_false();
-                let leaves = !m.and(src_in, not_block).is_false();
-                let enters = !m.and(src_out, tgt_in_pred).is_false();
-                let stays_out = !m.and(src_out, not_block).is_false();
-                let crossing = leaves || enters;
-                let mixed = (crossing && (stays_in || stays_out)) || (leaves && enters);
-                if mixed {
-                    let img = Self::branch_image(m, &self.branches[bi], srcs);
-                    let touched = m.or(srcs, img);
-                    grow = m.or(grow, touched);
-                    grow_sup = merge_sup(&grow_sup, &self.branches[bi].vars);
+                if !mixes(self.crossing(bi, block.set, block.set)) {
+                    continue;
                 }
+                let m = self.space.manager_mut();
+                let srcs = self.srcs[bi];
+                let img = Self::branch_image(m, &self.branches[bi], srcs);
+                let touched = m.or(srcs, img);
+                grow = m.or(grow, touched);
+                grow_sup = merge_sup(&grow_sup, &self.branches[bi].vars);
             }
             let m = self.space.manager_mut();
             if m.implies(grow, block.set) {
@@ -1482,7 +1469,7 @@ impl Iteration {
     /// stay mixed or would delay an input.  Returns the detailed cost and
     /// the ready-to-apply insertion plan.
     fn detail_eval(&mut self, core: &Core, block: &Zone) -> Option<(DetailCost, InsertionPlan)> {
-        let debug = std::env::var_os("CSC_SYM_DEBUG").is_some();
+        let debug = self.debug;
         // Orientation: the new signal starts at 0, so the initial state must
         // lie outside the block.
         let block = {
@@ -1551,53 +1538,16 @@ impl Iteration {
         let relevant = merge_sup(&merge_sup(&block.sup, &er_rise.sup), &er_fall.sup);
         for bi in self.branches_touching(&relevant) {
             let t = self.branches[bi].trans.index();
-            let m = self.space.manager_mut();
-            let srcs = self.srcs[bi];
-            if srcs.is_false() {
-                continue;
-            }
-            let tgt_in_block = Self::at_target(m, &self.branches[bi], block.set);
-            let src_in = m.and(srcs, block.set);
-            let src_out = m.and_not(srcs, block.set);
-            if !{
-                let x = m.and(src_out, tgt_in_block);
-                x.is_false()
-            } {
-                arcs[t].consume_a1 = true;
-            }
-            if !{
-                let not_in = m.not(tgt_in_block);
-                let x = m.and(src_in, not_in);
-                x.is_false()
-            } {
-                arcs[t].consume_a0 = true;
-            }
-            let tgt_er_rise = Self::at_target(m, &self.branches[bi], er_rise.set);
-            let src_not_erp = m.and_not(srcs, er_rise.set);
-            if !{
-                let x = m.and(src_not_erp, tgt_er_rise);
-                x.is_false()
-            } {
-                arcs[t].produce_r1 = true;
-            }
-            let tgt_er_fall = Self::at_target(m, &self.branches[bi], er_fall.set);
-            let src_not_erm = m.and_not(srcs, er_fall.set);
-            if !{
-                let x = m.and(src_not_erm, tgt_er_fall);
-                x.is_false()
-            } {
-                arcs[t].produce_r0 = true;
-            }
+            let on_block = self.crossing(bi, block.set, block.set);
+            arcs[t].consume_a1 |= on_block.enters();
+            arcs[t].consume_a0 |= on_block.leaves();
+            arcs[t].produce_r1 |= self.crossing(bi, er_rise.set, er_rise.set).enters();
+            arcs[t].produce_r0 |= self.crossing(bi, er_fall.set, er_fall.set).enters();
             // Direct jumps between the two excitation regions: the new
             // signal would have to fall right after rising (or vice versa).
-            let src_erp = m.and(srcs, er_rise.set);
-            let src_erm = m.and(srcs, er_fall.set);
-            let jump = {
-                let a = m.and(src_erp, tgt_er_fall);
-                let b = m.and(src_erm, tgt_er_rise);
-                !a.is_false() || !b.is_false()
-            };
-            if jump {
+            if self.crossing(bi, er_rise.set, er_fall.set).stays_in()
+                || self.crossing(bi, er_fall.set, er_rise.set).stays_in()
+            {
                 short_circuits += 1;
             }
         }
